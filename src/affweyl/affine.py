@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .linalg import vec_add, zero_vec
 from .rootdata import RootDatum, Vec
@@ -273,14 +273,6 @@ def omega_element(d: RootDatum, class_coords: Vec) -> AffineElement:
     return cache[class_coords]
 
 
-def omega_split(x: AffineElement) -> tuple[AffineElement, AffineElement]:
-    """(tau, y) with x = tau y, tau of length zero, y in the affine Weyl
-    group, l(y) = l(x)."""
-    tau = omega_element(x.datum, x.coroot_class_coords())
-    y = tau.inverse() * x
-    return tau, y
-
-
 # ----------------------------------------------------------------------
 # Bruhat order and intervals
 # ----------------------------------------------------------------------
@@ -323,13 +315,19 @@ def bruhat_leq_affine(u: AffineElement, x: AffineElement) -> bool:
     return rec(tau_inv * u, tau_inv * x)
 
 
+class BudgetExceeded(ValueError):
+    """A brute-force enumeration outgrew its size budget."""
+
+
 def lower_interval(
     x: AffineElement, max_size: int = 200_000
 ) -> tuple[AffineElement, ...]:
     """All elements <= x in the Bruhat order, via the subword property.
 
     Runs a prefix scan over one reduced word of the affine part: the subword
-    closure after j letters is S_j = S_{j-1} union S_{j-1} r_j.
+    closure after j letters is S_j = S_{j-1} union S_{j-1} r_j.  Raises
+    ``BudgetExceeded`` once the closure holds more than ``max_size``
+    elements.
     """
     d = x.datum
     tau, word = x.omega_and_word
@@ -345,7 +343,7 @@ def lower_interval(
                 new[yr.key] = yr
         elems.update(new)
         if len(elems) > max_size:
-            raise ValueError(
+            raise BudgetExceeded(
                 f"Bruhat interval below {x!r} exceeds the budget {max_size}"
             )
     out = [tau * y for y in elems.values()]
@@ -373,59 +371,6 @@ def enumerate_length_le(
                     new.append(y)
                     yield y
         frontier = new
-
-
-# ----------------------------------------------------------------------
-# root functionals: positivity and adjustment
-# ----------------------------------------------------------------------
-
-
-def validate_root_functional(
-    d: RootDatum, phi: Callable[[int], int]
-) -> None:
-    """Raise if phi violates either root functional axiom."""
-    for i in range(len(d.roots)):
-        if abs(phi(i) + phi(d.neg_root(i))) > 1:
-            raise ValueError(f"axiom (1) fails at root {i}")
-    by_coords = d._root_by_coords()
-    for i in range(len(d.roots)):
-        for j in range(len(d.roots)):
-            s = vec_add(d.roots[i].coords, d.roots[j].coords)
-            k = by_coords.get(tuple(s))
-            if k is not None and abs(phi(k) - phi(i) - phi(j)) > 1:
-                raise ValueError(f"axiom (2) fails at roots {i}, {j}")
-
-
-def functional_inversions(
-    d: RootDatum, phi: Callable[[int], int], v: WeylElement
-) -> list[int]:
-    """Roots alpha with phi(v alpha) < 0 < alpha or alpha < 0 < phi(v alpha)."""
-    out = []
-    for i in range(len(d.roots)):
-        val = phi(v.perm[i])
-        if (i < d.n_pos and val < 0) or (i >= d.n_pos and val > 0):
-            out.append(i)
-    return out
-
-
-def adjust_to_positive(
-    d: RootDatum,
-    phi: Callable[[int], int],
-    v: WeylElement,
-    validate: bool = False,
-) -> WeylElement:
-    """Move v to a positive element by repeated adjustments v -> v s_alpha,
-    alpha an inversion.  Each step strictly decreases the inversion count."""
-    if validate:
-        validate_root_functional(d, phi)
-    inv = functional_inversions(d, phi, v)
-    while inv:
-        v2 = v * reflection(d, inv[0])
-        inv2 = functional_inversions(d, phi, v2)
-        if len(inv2) >= len(inv):  # pragma: no cover - adjustment lemma guard
-            raise AssertionError("adjustment did not decrease inversions")
-        v, inv = v2, inv2
-    return v
 
 
 # ----------------------------------------------------------------------

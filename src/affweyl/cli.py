@@ -42,8 +42,8 @@ from .generic import (
     is_cordial_general,
 )
 from .qbg import QBGraph
-from .rootdata import RootDatum
-from .verify import run_battery, scan_elements
+from .rootdata import Budgets, RootDatum
+from .verify import cross_check, run_battery, scan_elements
 from .weyl import from_word, weyl_group
 
 
@@ -56,7 +56,7 @@ class CliError(Exception):
 # ----------------------------------------------------------------------
 
 
-def load_config(path: str) -> tuple[RootDatum, dict]:
+def load_config(path: str) -> tuple[RootDatum, Budgets]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -65,13 +65,9 @@ def load_config(path: str) -> tuple[RootDatum, dict]:
     except json.JSONDecodeError as exc:
         raise CliError(f"config {path} is not valid JSON: {exc}") from exc
     try:
-        d = RootDatum.from_config(config)
+        return RootDatum.from_config(config), Budgets.from_config(config)
     except ValueError as exc:
         raise CliError(f"invalid config: {exc}") from exc
-    budgets = config.get("budgets", {})
-    if not isinstance(budgets, dict):
-        raise CliError("config.budgets must be an object")
-    return d, budgets
 
 
 def _finite_generator(d: RootDatum, token: str) -> int:
@@ -96,8 +92,8 @@ def _affine_generator(d: RootDatum, token: str) -> int:
     return _finite_generator(d, token)
 
 
-def _resolve_cap(cap: Optional[int], budgets: dict) -> int:
-    cap = cap if cap is not None else int(budgets.get("length_cap", 4))
+def _resolve_cap(cap: Optional[int], budgets: Budgets) -> int:
+    cap = cap if cap is not None else budgets.length_cap
     if cap < 0:
         raise CliError(f"--cap must be >= 0, got {cap}")
     return cap
@@ -200,7 +196,7 @@ ELEMENT_VERBS = (
 _TWISTED_VERBS = ("lp", "signtype", "gnp", "cordial")
 
 
-def _verb_lp(x: AffineElement, test_mode: bool) -> dict:
+def _verb_lp(x: AffineElement) -> dict:
     elements = sorted(af.lp_set(x), key=lambda v: (v.length, v.word))
     return {
         "canonical": repr(af.canonical_lp(x)),
@@ -208,7 +204,7 @@ def _verb_lp(x: AffineElement, test_mode: bool) -> dict:
     }
 
 
-def _verb_signtype(x: AffineElement, test_mode: bool) -> dict:
+def _verb_signtype(x: AffineElement) -> dict:
     d = x.datum
     signs = x.sign_type()
     return {
@@ -220,7 +216,7 @@ def _verb_signtype(x: AffineElement, test_mode: bool) -> dict:
     }
 
 
-def _verb_gnp(x: AffineElement, test_mode: bool) -> dict:
+def _verb_gnp(x: AffineElement) -> dict:
     d = x.datum
     if d.omega_twist is not None:
         b = generic_class_general(x)
@@ -229,7 +225,7 @@ def _verb_gnp(x: AffineElement, test_mode: bool) -> dict:
             {f"nu_{k}": v for k, v in coweight_json(d, b.nu).items() if k != "lattice"}
         )
         return out
-    res = generic_lambda(x, test_mode)
+    res = generic_lambda(x)
     lam = res.lambda_x.lift()
     out = {
         "nu": vec_strs(res.nu_x),
@@ -248,8 +244,8 @@ def _verb_gnp(x: AffineElement, test_mode: bool) -> dict:
     return out
 
 
-def _verb_lambda(x: AffineElement, test_mode: bool) -> dict:
-    res = generic_lambda(x, test_mode)
+def _verb_lambda(x: AffineElement) -> dict:
+    res = generic_lambda(x)
     lam = res.lambda_x.lift()
     out = {"lambda": vec_strs(lam)}
     cc = x.datum.coroot_coords(tuple(Fraction(c) for c in lam))
@@ -258,8 +254,8 @@ def _verb_lambda(x: AffineElement, test_mode: bool) -> dict:
     return out
 
 
-def _verb_defect(x: AffineElement, test_mode: bool) -> dict:
-    b = generic_class(x, test_mode)
+def _verb_defect(x: AffineElement) -> dict:
+    b = generic_class(x)
     return {
         "defect": b.defect,
         "j1": [i + 1 for i in sorted(b.j1)],
@@ -267,11 +263,11 @@ def _verb_defect(x: AffineElement, test_mode: bool) -> dict:
     }
 
 
-def _verb_cordial(x: AffineElement, test_mode: bool) -> dict:
+def _verb_cordial(x: AffineElement) -> dict:
     if x.datum.omega_twist is not None:
-        r = is_cordial_general(x, test_mode)
+        r = is_cordial_general(x)
     else:
-        r = is_cordial(x, test_mode)
+        r = is_cordial(x)
     return {
         "cordial": r.cordial,
         "failed": r.failed,
@@ -281,14 +277,14 @@ def _verb_cordial(x: AffineElement, test_mode: bool) -> dict:
     }
 
 
-def _verb_vdim(x: AffineElement, test_mode: bool) -> dict:
+def _verb_vdim(x: AffineElement) -> dict:
     return {
         "identity": q_str(af.virtual_dimension(x, identity_class(x.datum))),
-        "generic": q_str(af.virtual_dimension(x, generic_class(x, test_mode))),
+        "generic": q_str(af.virtual_dimension(x, generic_class(x))),
     }
 
 
-def _verb_fundamental(x: AffineElement, test_mode: bool) -> dict:
+def _verb_fundamental(x: AffineElement) -> dict:
     return {"fundamental": af.is_fundamental(x)}
 
 
@@ -307,6 +303,8 @@ _VERB_TABLE = {
 def cmd_element(
     d: RootDatum, expr: str, verbs: Sequence[str], test_mode: bool
 ) -> str:
+    """The JSON report of ``verbs`` on one element; ``test_mode`` first
+    runs the cross-checks of ``verify.cross_check`` on it."""
     unknown = [v for v in verbs if v not in _VERB_TABLE]
     if unknown:
         raise CliError(
@@ -320,9 +318,11 @@ def cmd_element(
                 f"verbs {bad} are not available on Omega-twisted data "
                 f"(supported: {', '.join(_TWISTED_VERBS)})"
             )
+    if test_mode:
+        cross_check(x)
     out = {"element": repr(x), "length": x.length}
     for verb in verbs:
-        out[verb] = _VERB_TABLE[verb](x, test_mode)
+        out[verb] = _VERB_TABLE[verb](x)
     return _dump(out)
 
 
@@ -384,25 +384,24 @@ def cmd_describe(d: RootDatum, as_json: bool) -> str:
 
 
 def cmd_verify(
-    d: RootDatum,
-    budgets: dict,
-    cap: Optional[int],
-    jobs: int,
-    test_mode: bool,
+    d: RootDatum, budgets: Budgets, cap: Optional[int], test_mode: bool
 ) -> tuple[str, int]:
+    """The battery's report and exit code; ``test_mode`` first runs the
+    cross-checks on every scanned element."""
     if d.omega_twist is not None:
         raise CliError(
             "verify runs on plain data; drop the twist and use the "
             "transport identities for twisted forms"
         )
     cap = _resolve_cap(cap, budgets)
+    if test_mode:
+        for x in scan_elements(d, cap, budgets.coweight_box):
+            cross_check(x)
     reports = run_battery(
         d,
         cap,
-        jobs=jobs,
-        box=int(budgets.get("coweight_box", 1)),
-        interval_budget=int(budgets.get("max_interval_size", 200_000)),
-        test_mode=test_mode,
+        box=budgets.coweight_box,
+        interval_budget=budgets.max_interval_size,
     )
     lines = [r.summary() for r in reports]
     failures = sum(r.failed for r in reports)
@@ -417,17 +416,21 @@ def cmd_verify(
 
 
 def cmd_scan_cordial(
-    d: RootDatum, budgets: dict, cap: Optional[int], test_mode: bool
+    d: RootDatum, budgets: Budgets, cap: Optional[int], test_mode: bool
 ) -> str:
+    """The cordiality CSV; ``test_mode`` runs the cross-checks on every
+    row's element."""
     cap = _resolve_cap(cap, budgets)
-    xs = scan_elements(d, cap, box=int(budgets.get("coweight_box", 1)))
+    xs = scan_elements(d, cap, box=budgets.coweight_box)
     xs.sort(key=lambda x: (x.length, x.w.word, x.mu))
     buf = []
     for x in xs:
+        if test_mode:
+            cross_check(x)
         if d.omega_twist is not None:
-            r = is_cordial_general(x, test_mode)
+            r = is_cordial_general(x)
         else:
-            r = is_cordial(x, test_mode)
+            r = is_cordial(x)
         buf.append(
             (
                 repr(x.w),
@@ -470,19 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, cap=False, jobs=False, expr=False):
+    def common(p, cap=False, cross_checks=False, expr=False):
         p.add_argument("--config", required=True, help="root datum JSON file")
-        p.add_argument(
-            "--test-mode",
-            action="store_true",
-            help="enable the redundant cross-check code paths",
-        )
+        if cross_checks:
+            p.add_argument(
+                "--test-mode",
+                action="store_true",
+                help="also run the redundant cross-checks on every element",
+            )
         if cap:
             p.add_argument("--cap", type=int, help="length cap for the scan")
-        if jobs:
-            p.add_argument(
-                "--jobs", type=int, default=1, help="oracle parallelism"
-            )
         if expr:
             p.add_argument("--expr", required=True, help="element expression")
 
@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("element", help="invariants of one element")
-    common(p, expr=True)
+    common(p, cross_checks=True, expr=True)
     p.add_argument(
         "verbs",
         nargs="*",
@@ -501,10 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit JSON (default)")
 
     p = sub.add_parser("verify", help="run the oracle/property battery")
-    common(p, cap=True, jobs=True)
+    common(p, cap=True, cross_checks=True)
 
     p = sub.add_parser("scan-cordial", help="cordiality diagnostics as CSV")
-    common(p, cap=True)
+    common(p, cap=True, cross_checks=True)
     p.add_argument("--csv", action="store_true", help="emit CSV (default)")
 
     p = sub.add_parser("qbg-dot", help="quantum Bruhat graph as DOT")
@@ -524,9 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             verbs = list(dict.fromkeys(args.verbs)) or list(ELEMENT_VERBS)
             print(cmd_element(d, args.expr, verbs, args.test_mode))
         elif args.verb == "verify":
-            text, code = cmd_verify(
-                d, budgets, args.cap, args.jobs, args.test_mode
-            )
+            text, code = cmd_verify(d, budgets, args.cap, args.test_mode)
             print(text)
             return code
         elif args.verb == "scan-cordial":

@@ -195,15 +195,6 @@ def maximal_classes(classes: Iterator[SigmaClass]) -> list[SigmaClass]:
     return maximal
 
 
-def maximum_class(classes: Iterator[SigmaClass]) -> SigmaClass:
-    """The unique maximum of a nonempty family, or a ValueError if the
-    maximal elements are not unique."""
-    maximal = maximal_classes(classes)
-    if len(maximal) != 1:
-        raise ValueError(f"no unique maximum: {maximal}")
-    return maximal[0]
-
-
 # ----------------------------------------------------------------------
 # alternative defect routes (used as cross-checks in the test-suite)
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ maximum [b_x], the *generic* class of x.  Its invariants have closed forms:
 * the Kottwitz point is that of mu.
 
 ``oracle_generic_class`` computes the same maximum by brute force over the
-Bruhat interval and is used to keep the closed forms honest.
+Bruhat interval and is used to keep the closed forms honest; the other
+redundant routes are the cross-checks in ``verify``.
 
 x is *cordial* if the codimension of its class in the interval behaves
 linearly, which happens iff the canonical length positive element v both
@@ -22,16 +23,15 @@ Data with an Omega twist gamma = eps^{mu_sigma} sigma_1 (non-quasi-split
 forms) reduce to the plain datum: right multiplication by gamma identifies
 the twisted classes with the plain ones and shifts all Newton points by the
 Weyl average of mu_sigma.  Cordiality of x is *defined* as cordiality of
-x gamma on the plain side; the direct criterion is implemented as well and
-checked against that definition.
+x gamma on the plain side; the direct criterion is implemented here, and
+``verify`` checks it against that definition.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .affine import (
     AffineElement,
@@ -49,7 +49,7 @@ from .conjclass import (
 from .linalg import QVec, qvec, vec_add, vec_sub
 from .qbg import QBGraph
 from .rootdata import GammaClass, RootDatum, Vec
-from .weyl import WeylElement, dominant_representative, from_word, weyl_group
+from .weyl import WeylElement, dominant_representative, from_word
 
 
 def _require_plain(d: RootDatum) -> None:
@@ -65,23 +65,10 @@ def candidate_vector(x: AffineElement, v: WeylElement) -> Vec:
     return vec_sub(v.inverse().act(x.mu), g.wt_vec(v, (x.w * v).twist()))
 
 
-def _lp_distances(x: AffineElement) -> list[tuple[WeylElement, int]]:
+def lp_distances(x: AffineElement) -> list[tuple[WeylElement, int]]:
+    """d(v => sigma(wv)) for every length positive v, in LP order."""
     g = QBGraph.of(x.datum)
     return [(v, g.d(v, (x.w * v).twist())) for v in lp_set(x)]
-
-
-def gamma_maximum(d: RootDatum, classes: Iterable[GammaClass]) -> GammaClass:
-    """The unique maximum under the coinvariant order; raises if the
-    maximal elements are not unique."""
-    maximal: list[GammaClass] = []
-    for c in classes:
-        if any(d.leq_gamma(c, m) for m in maximal):
-            continue
-        maximal = [m for m in maximal if not d.leq_gamma(m, c)]
-        maximal.append(c)
-    if len(maximal) != 1:
-        raise ValueError(f"no unique maximum: {maximal}")
-    return maximal[0]
 
 
 def dominance_maximum(d: RootDatum, vecs: Iterable[QVec]) -> QVec:
@@ -108,86 +95,30 @@ class GenericResult:
     used_j: tuple[int, ...]  # minimal realizing subset of conv
 
 
-def generic_lambda(x: AffineElement, test_mode: bool = False) -> GenericResult:
+def generic_lambda(x: AffineElement) -> GenericResult:
     """Closed form for the generic lambda invariant.
 
     The witness is the first length positive v (in breadth-first order from
-    the canonical one) minimizing d(v => sigma(wv)); in test mode all
-    minimizers are checked to give the same class, and the maximum over the
-    whole Weyl group is recomputed and compared.
+    the canonical one) minimizing d(v => sigma(wv)).
     """
     d = x.datum
     _require_plain(d)
-    dists = _lp_distances(x)
+    dists = lp_distances(x)
     d_min = min(dist for _, dist in dists)
     witness = next(v for v, dist in dists if dist == d_min)
     lam = d.gamma_class(candidate_vector(x, witness))
-    if test_mode:
-        for v, dist in dists:
-            if dist == d_min and d.gamma_class(candidate_vector(x, v)) != lam:
-                raise AssertionError(
-                    f"minimizers disagree at {v!r} for {x!r}"
-                )
-        full = gamma_maximum(
-            d, (d.gamma_class(candidate_vector(x, v)) for v in weyl_group(d))
-        )
-        if full != lam:
-            raise AssertionError(f"Weyl-maximum route disagrees for {x!r}")
     nu, j1, _ = d.conv_prime_facts(d.avg_sigma(lam.lift()))
     return GenericResult(lam, nu, witness, d_min, tuple(sorted(j1)))
 
 
-def generic_newton(x: AffineElement, test_mode: bool = False) -> QVec:
-    """The generic Newton point nu_x = conv(lambda_x).
-
-    In test mode the convexification is recomputed restricted to the
-    orthogonal-zero set of the witness (the J-estimate shortcut) and both
-    answers are compared.
-    """
-    res = generic_lambda(x, test_mode)
-    if test_mode:
-        restricted = _j_restricted_newton(x, res)
-        if restricted != res.nu_x:
-            raise AssertionError(f"J-restricted route disagrees for {x!r}")
-    return res.nu_x
+def generic_newton(x: AffineElement) -> QVec:
+    """The generic Newton point nu_x = conv(lambda_x)."""
+    return generic_lambda(x).nu_x
 
 
-def _j_restricted_newton(x: AffineElement, res: GenericResult) -> QVec:
-    """conv via the estimate that only simple roots touching a zero
-    functional l(x, v alpha) = 0 can matter."""
-    d = x.datum
-    v = res.witness_v
-    j0: set[int] = set()
-    for i in range(d.n_pos):
-        if x.length_functional(v.perm[i]) == 0:
-            j0.update(
-                k for k, c in enumerate(d.roots[i].coords) if c != 0
-            )
-    while True:
-        closure = {d.sigma_perm[i] for i in j0}
-        if closure <= j0:
-            break
-        j0 |= closure
-    if not frozenset(res.used_j) <= j0:
-        raise AssertionError("conv realizer escapes the zero-set estimate")
-    orbits = [o for o in d.sigma_simple_orbits() if o[0] in j0]
-    vec = d.avg_sigma(res.lambda_x.lift())
-    candidates = []
-    for mask in range(1 << len(orbits)):
-        j = frozenset(
-            i for k, o in enumerate(orbits) if mask & (1 << k) for i in o
-        )
-        cand = d.avg_J(vec, j)
-        if d.is_dominant(cand):
-            candidates.append(cand)
-    return dominance_maximum(d, candidates)
-
-
-def generic_class(x: AffineElement, test_mode: bool = False) -> SigmaClass:
+def generic_class(x: AffineElement) -> SigmaClass:
     """The generic class [b_x] from the closed forms."""
-    return SigmaClass(
-        x.datum, generic_newton(x, test_mode), kottwitz_point(x)
-    )
+    return SigmaClass(x.datum, generic_newton(x), kottwitz_point(x))
 
 
 # ----------------------------------------------------------------------
@@ -196,30 +127,11 @@ def generic_class(x: AffineElement, test_mode: bool = False) -> SigmaClass:
 
 
 def oracle_generic_class(
-    x: AffineElement, max_size: int = 200_000, jobs: int = 1
+    x: AffineElement, max_size: int = 200_000
 ) -> SigmaClass:
-    """max{[y] : y <= x} by enumerating the Bruhat interval.
-
-    The interval is partitioned; each partition reports its maximal
-    classes over immutable data, and the partial results are merged.  The
-    final maximum is asserted to be unique.
-    """
-    interval = lower_interval(x, max_size)
-    if jobs <= 1 or len(interval) < 4 * jobs:
-        parts = [interval]
-    else:
-        step = (len(interval) + jobs - 1) // jobs
-        parts = [interval[i : i + step] for i in range(0, len(interval), step)]
-
-    def local(part: Sequence[AffineElement]) -> list[SigmaClass]:
-        return maximal_classes(class_of(y) for y in part)
-
-    if len(parts) == 1:
-        merged = local(parts[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            locals_ = list(pool.map(local, parts))
-        merged = maximal_classes(b for chunk in locals_ for b in chunk)
+    """max{[y] : y <= x} by enumerating the Bruhat interval; the maximum is
+    asserted to be unique.  Raises ``BudgetExceeded`` over ``max_size``."""
+    merged = maximal_classes(class_of(y) for y in lower_interval(x, max_size))
     if len(merged) != 1:
         raise ValueError(f"no unique maximal class below {x!r}: {merged}")
     return merged[0]
@@ -241,7 +153,16 @@ class CordialResult:
     witness_v: WeylElement
 
 
-def is_cordial(x: AffineElement, test_mode: bool = False) -> CordialResult:
+def _cordial_result(
+    cond1: bool, cond2: bool, dv: int, lv: int, v: WeylElement
+) -> CordialResult:
+    failed = ",".join(
+        label for ok, label in ((cond1, "(1)"), (cond2, "(2)")) if not ok
+    )
+    return CordialResult(cond1 and cond2, failed or None, dv, lv, v)
+
+
+def is_cordial(x: AffineElement) -> CordialResult:
     """x is cordial iff the canonical length positive v minimizes
     d(v' => sigma(wv')) over LP(x) and satisfies d = l(v^{-1} sigma(wv))."""
     d = x.datum
@@ -250,25 +171,8 @@ def is_cordial(x: AffineElement, test_mode: bool = False) -> CordialResult:
     v = canonical_lp(x)
     dv = g.d(v, (x.w * v).twist())
     lv = (v.inverse() * (x.w * v).twist()).length
-    cond1 = all(dist >= dv for _, dist in _lp_distances(x))
-    cond2 = dv == lv
-    if test_mode:
-        res = generic_lambda(x)
-        b = SigmaClass(d, res.nu_x, kottwitz_point(x))
-        lhs = x.length - lv
-        rhs = d.pair_2rho(res.nu_x) - b.defect
-        if lhs > rhs:
-            raise AssertionError(f"cordiality upper bound violated at {x!r}")
-        if (lhs == rhs) != (cond1 and cond2):
-            raise AssertionError(
-                f"cordiality routes disagree at {x!r}"
-            )
-    failed = None
-    if not (cond1 and cond2):
-        failed = ",".join(
-            label for ok, label in ((cond1, "(1)"), (cond2, "(2)")) if not ok
-        )
-    return CordialResult(cond1 and cond2, failed, dv, lv, v)
+    cond1 = all(dist >= dv for _, dist in lp_distances(x))
+    return _cordial_result(cond1, dv == lv, dv, lv, v)
 
 
 # ----------------------------------------------------------------------
@@ -285,46 +189,35 @@ def twist_gamma(d: RootDatum) -> AffineElement:
     return AffineElement(d, w1, w1.inverse().act(mu_sigma))
 
 
-def _weyl_average(d: RootDatum, mu: Sequence) -> QVec:
+def weyl_average(d: RootDatum, mu: Sequence) -> QVec:
+    """avg_W(mu), the shift between twisted and plain Newton points."""
     return d.avg_J(mu, range(d.ss_rank))
 
 
-def generic_newton_general(
-    x: AffineElement, test_mode: bool = False
-) -> QVec:
-    """The generic Newton point for a possibly twisted datum.
-
-    Production path: the displayed maximum over length positive v of
-    conv(v^{-1}(mu + mu_sigma) - wt(sigma_1^{-1}v => sigma(wv)) - avg_W(mu_sigma)).
-    Test mode recomputes over all of W and via the transport route
-    nu(x gamma) - avg_W(mu_sigma) on the plain datum, asserting agreement.
-    """
+def twisted_candidates(
+    x: AffineElement, vs: Iterable[WeylElement]
+) -> Iterator[QVec]:
+    """conv(v^{-1}(mu + mu_sigma) - wt(sigma_1^{-1}v => sigma(wv))
+    - avg_W(mu_sigma)) for each v in ``vs``, on an Omega-twisted datum."""
     d = x.datum
-    if d.omega_twist is None:
-        return generic_newton(x, test_mode)
     word, mu_sigma = d.omega_twist
     g = QBGraph.of(d)
     s1_inv = from_word(d, word).inverse()
-    shift = _weyl_average(d, mu_sigma)
-
-    def value(v: WeylElement) -> QVec:
+    shift = weyl_average(d, mu_sigma)
+    for v in vs:
         vec = vec_sub(
             qvec(v.inverse().act(vec_add(x.mu, mu_sigma))),
             qvec(g.wt_vec(s1_inv * v, (x.w * v).twist())),
         )
-        return d.conv(vec_sub(vec, shift))
+        yield d.conv(vec_sub(vec, shift))
 
-    nu = dominance_maximum(d, (value(v) for v in lp_set(x)))
-    if test_mode:
-        full = dominance_maximum(d, (value(v) for v in weyl_group(d)))
-        if full != nu:
-            raise AssertionError(f"Weyl-maximum route disagrees for {x!r}")
-        transported = vec_sub(
-            qvec(generic_newton(_transport(x), test_mode=False)), shift
-        )
-        if tuple(transported) != tuple(nu):
-            raise AssertionError(f"transport route disagrees for {x!r}")
-    return nu
+
+def generic_newton_general(x: AffineElement) -> QVec:
+    """The generic Newton point for a possibly twisted datum: the maximum
+    of ``twisted_candidates`` over the length positive v."""
+    if x.datum.omega_twist is None:
+        return generic_newton(x)
+    return dominance_maximum(x.datum, twisted_candidates(x, lp_set(x)))
 
 
 def plain_datum(d: RootDatum) -> RootDatum:
@@ -338,7 +231,7 @@ def plain_datum(d: RootDatum) -> RootDatum:
     return d._caches["plain_datum"]
 
 
-def _transport(x: AffineElement) -> AffineElement:
+def transport(x: AffineElement) -> AffineElement:
     """x gamma, rebased onto the plain (sigma_2-Frobenius) datum."""
     y = x * twist_gamma(x.datum)
     plain = plain_datum(x.datum)
@@ -379,11 +272,7 @@ def twisted_kottwitz(d: RootDatum, mu: Vec) -> Vec:
     return d._caches[key].coords(tuple(mu))
 
 
-def is_cordial_general(
-    x: AffineElement,
-    test_mode: bool = False,
-    lp_range: str = "transport",
-) -> CordialResult:
+def is_cordial_general(x: AffineElement) -> CordialResult:
     """Cordiality for a possibly twisted datum.
 
     Direct criterion: take v = sigma_1 v~ where v~ is of minimal length
@@ -392,19 +281,12 @@ def is_cordial_general(
     cordial iff (1) d(sigma_1^{-1}v' => sigma(wv')) is minimal at v' = v
     and (2) equals l(v^{-1} sigma_1 sigma(wv)).
 
-    ``lp_range`` selects the quantifier in (1).  Since gamma has length
-    zero, LP(x gamma) = sigma_1^{-1} LP(x), so unwinding the definition
-    makes v' range over LP(x) itself; that is the default "transport".
-    The alternative "literal" ranges over v' with sigma_1^{-1}v' length
-    positive instead (a reading that the exhaustive tests refute).  Test
-    mode compares the outcome with the definition (cordiality of x gamma
-    on the plain side).
+    Since gamma has length zero, LP(x gamma) = sigma_1^{-1} LP(x), so
+    unwinding the definition makes v' in (1) range over LP(x) itself.
     """
     d = x.datum
     if d.omega_twist is None:
-        return is_cordial(x, test_mode)
-    if lp_range not in ("transport", "literal"):
-        raise ValueError(f"unknown lp_range {lp_range!r}")
+        return is_cordial(x)
     word, mu_sigma = d.omega_twist
     g = QBGraph.of(d)
     s1 = from_word(d, word)
@@ -418,31 +300,7 @@ def is_cordial_general(
     def dist(vp: WeylElement) -> int:
         return g.d(s1_inv * vp, (x.w * vp).twist())
 
-    if lp_range == "transport":
-        vprimes = list(lp_set(x))
-    else:
-        vprimes = [
-            vp for vp in weyl_group(d) if is_length_positive(x, s1_inv * vp)
-        ]
     dv = dist(v)
     lv = (v.inverse() * s1 * (x.w * v).twist()).length
-    cond1 = all(dist(vp) >= dv for vp in vprimes)
-    cond2 = dv == lv
-    result = CordialResult(
-        cond1 and cond2,
-        None
-        if cond1 and cond2
-        else ",".join(
-            label for ok, label in ((cond1, "(1)"), (cond2, "(2)")) if not ok
-        ),
-        dv,
-        lv,
-        v,
-    )
-    if test_mode:
-        definition = is_cordial(_transport(x), test_mode=False)
-        if definition.cordial != result.cordial:
-            raise AssertionError(
-                f"direct criterion disagrees with the definition at {x!r}"
-            )
-    return result
+    cond1 = all(dist(vp) >= dv for vp in lp_set(x))
+    return _cordial_result(cond1, dv == lv, dv, lv, v)

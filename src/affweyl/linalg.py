@@ -20,10 +20,6 @@ def qvec(v: Sequence[Scalar]) -> QVec:
     return tuple(Fraction(c) for c in v)
 
 
-def qmat(rows: Sequence[Sequence[Scalar]]) -> QMat:
-    return tuple(qvec(r) for r in rows)
-
-
 def vec_add(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
@@ -34,10 +30,6 @@ def vec_sub(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c: Scalar, a: Sequence[Scalar]) -> tuple:
-    return tuple(c * x for x in a)
 
 
 def vec_dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:

@@ -32,7 +32,7 @@ that makes the datum non-quasi-split; the twist is consumed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
@@ -56,8 +56,40 @@ from .snf import LatticeQuotient
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
-#: Hard ceiling for materializing Weyl groups (order of W(E8)).
+#: Hard ceiling for materializing Weyl groups (the order of W(E6)).
 DEFAULT_WEYL_CAP = 51840
+
+
+@dataclass(frozen=True)
+class Budgets:
+    """The size limits of a config's optional ``budgets`` object."""
+
+    length_cap: int = 4  # default scan cap of ``verify`` and ``scan-cordial``
+    coweight_box: int = 1  # free translation classes scanned: -box..box
+    max_interval_size: int = 200_000  # oracle skips larger Bruhat intervals
+    max_weyl_order: int = DEFAULT_WEYL_CAP
+
+    @classmethod
+    def from_config(cls, config: dict) -> "Budgets":
+        """Read ``config["budgets"]``; a value that is not a non-negative
+        integer raises a ``ValueError`` that names its field."""
+        raw = config.get("budgets", {})
+        if not isinstance(raw, dict):
+            raise ValueError("config.budgets must be an object")
+        values = {}
+        for f in fields(cls):
+            if f.name not in raw:
+                continue
+            try:
+                values[f.name] = int(raw[f.name])
+            except (TypeError, ValueError):
+                pass
+            if values.get(f.name, -1) < 0:
+                raise ValueError(
+                    f"budgets.{f.name} must be a non-negative integer, "
+                    f"got {raw[f.name]!r}"
+                )
+        return cls(**values)
 
 
 def cartan_matrix(typ: str, rank: int) -> Mat:
@@ -175,7 +207,7 @@ class RootDatum:
 
     Construct via :meth:`from_config` or the convenience :func:`datum`
     helper.  All derived structure (Weyl group, quotients, graphs) is cached
-    in ``_caches`` on first use; instances are safe for concurrent reads.
+    in ``_caches`` on first use.
     """
 
     components: tuple[tuple[str, int], ...]
@@ -212,6 +244,7 @@ class RootDatum:
         """
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object")
+        budgets = Budgets.from_config(config)
         comp_spec = config.get("components")
         if not comp_spec or not isinstance(comp_spec, list):
             raise ValueError("config.components must be a non-empty list")
@@ -219,8 +252,11 @@ class RootDatum:
         for c in comp_spec:
             try:
                 components.append((str(c["type"]).upper(), int(c["rank"])))
-            except (TypeError, KeyError) as exc:
-                raise ValueError(f"bad component entry {c!r}") from exc
+            except (TypeError, KeyError, ValueError) as exc:
+                raise ValueError(
+                    f"bad component entry {c!r}: needs a type and an "
+                    "integer rank"
+                ) from exc
         lattice = config.get("lattice", "sc")
         if lattice not in ("sc", "adjoint", "gl", "custom"):
             raise ValueError(f"unknown lattice {lattice!r}")
@@ -265,7 +301,10 @@ class RootDatum:
             basis = config.get("lattice_basis")
             if not basis:
                 raise ValueError('lattice "custom" requires lattice_basis')
-            b_rows = [tuple(_parse_rational(x) for x in row) for row in basis]
+            try:
+                b_rows = [tuple(_parse_rational(x) for x in row) for row in basis]
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"lattice_basis: {exc}") from exc
             if len(b_rows) != ss_rank or any(len(r) != ss_rank for r in b_rows):
                 raise ValueError(
                     f"lattice_basis must be {ss_rank}x{ss_rank} "
@@ -325,6 +364,8 @@ class RootDatum:
 
         # Frobenius.
         frob = config.get("frobenius") or {}
+        if not isinstance(frob, dict):
+            raise ValueError("config.frobenius must be an object")
         perm_1b = frob.get("perm") or list(range(1, ss_rank + 1))
         if sorted(perm_1b) != list(range(1, ss_rank + 1)):
             raise ValueError(f"frobenius.perm must permute 1..{ss_rank}")
@@ -384,6 +425,8 @@ class RootDatum:
 
         twist = None
         tw_spec = frob.get("twist")
+        if tw_spec is not None and not isinstance(tw_spec, dict):
+            raise ValueError("frobenius.twist must be an object")
         datum = RootDatum(
             components=tuple(components),
             lattice=lattice,
@@ -400,17 +443,21 @@ class RootDatum:
             sigma_order=order,
             sigma_root_perm=tuple(perm_full),
             omega_twist=None,
-            weyl_cap=int(config.get("budgets", {}).get("max_weyl_order", DEFAULT_WEYL_CAP)),
+            weyl_cap=budgets.max_weyl_order,
         )
         if tw_spec is not None:
-            word_1b = tw_spec.get("sigma1_word", [])
-            mu_sigma = tw_spec.get("mu_sigma")
+            try:
+                mu_sigma = tuple(int(c) for c in tw_spec.get("mu_sigma"))
+            except (TypeError, ValueError):
+                mu_sigma = None
             if mu_sigma is None or len(mu_sigma) != rank:
                 raise ValueError(f"twist.mu_sigma must be an integer vector of length {rank}")
-            word = tuple(int(i) - 1 for i in word_1b)
+            try:
+                word = tuple(int(i) - 1 for i in tw_spec.get("sigma1_word", []))
+            except (TypeError, ValueError):
+                raise ValueError("twist.sigma1_word must be a list of generator indices") from None
             if any(i < 0 or i >= ss_rank for i in word):
                 raise ValueError("twist.sigma1_word contains an invalid generator index")
-            mu_sigma = tuple(int(c) for c in mu_sigma)
             datum._validate_twist(word, mu_sigma)
             twist = (word, mu_sigma)
             object.__setattr__(datum, "omega_twist", twist)
@@ -637,13 +684,6 @@ class RootDatum:
             acc = vec_add(acc, mat_vec(m, tuple(mu)))
         return tuple(x / len(mats) for x in acc)
 
-    def pi_J(self, mu: Sequence, J: Iterable[int]) -> QVec:
-        """avg_J after avg_sigma; J must be sigma-stable."""
-        J = frozenset(J)
-        if frozenset(self.sigma_perm[i] for i in J) != J:
-            raise ValueError(f"J={sorted(J)} is not stable under the Frobenius")
-        return self.avg_J(self.avg_sigma(mu), J)
-
     def _greedy_improve(self, mu: Sequence) -> tuple[QVec, frozenset[int]]:
         cur = qvec(mu)
         J: set[int] = set()
@@ -799,13 +839,6 @@ class GammaClass:
     def pi1(self) -> Pi1Class:
         """The image of the class in the fundamental-group quotient."""
         return self.datum.pi1_class(self.lift())
-
-    def add_covec(self, root_index: int, times: int = 1) -> "GammaClass":
-        rep = self.lift()
-        step = self.datum.roots[root_index].covec
-        return self.datum.gamma_class(
-            tuple(r + times * s for r, s in zip(rep, step))
-        )
 
     def __repr__(self) -> str:
         return f"GammaClass{self.coords}"

@@ -13,6 +13,7 @@ datum are handled.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import identity_mat, mat_inverse, mat_vec
@@ -184,22 +185,12 @@ class LatticeQuotient:
                 gens.append(tuple(1 if j == i else 0 for j in range(self.dim)))
         return gens
 
-    def scan_coords(self) -> Iterator[tuple[int, ...]]:
-        """Coordinates of all torsion classes, plus +/-1 in each free factor.
+    def scan_coords(self, box: int = 1) -> Iterator[tuple[int, ...]]:
+        """Coordinates of all torsion classes, combined with exponents
+        -box..box of each free generator.
 
-        For finite quotients this enumerates every class exactly once; for
-        quotients with free factors it enumerates the torsion classes combined
-        with exponents -1, 0, 1 of each free generator.
+        For finite quotients this enumerates every class exactly once.
         """
-        from itertools import product
-
-        ranges = []
-        for d in self.diag:
-            if d == 0:
-                ranges.append((-1, 0, 1))
-            elif d == 1:
-                ranges.append((0,))
-            else:
-                ranges.append(tuple(range(d)))
-        for combo in product(*ranges):
-            yield tuple(combo)
+        yield from product(
+            *(range(-box, box + 1) if d == 0 else range(d) for d in self.diag)
+        )

@@ -19,6 +19,12 @@ are visited) and asserts one family of invariants:
 
 The command line ``verify`` verb and the acceptance test-suite both run
 these functions, so the shipped binary and the tests cannot drift apart.
+
+The ``cross_check_*`` functions at the end recompute one element's
+invariants by a redundant route (a maximum over all of W, a restricted
+convexification, the cordiality bound, transport to the plain datum) and
+raise ``AssertionError`` on a disagreement.  ``cross_check`` runs those
+that apply; the CLI runs it on every element under ``--test-mode``.
 """
 
 from __future__ import annotations
@@ -28,10 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import affine as af
-from .affine import AffineElement, lp_set
+from .affine import AffineElement, BudgetExceeded, lp_set
 from .conjclass import (
     SigmaClass,
     class_of,
@@ -42,13 +48,24 @@ from .conjclass import (
     newton_point,
 )
 from .generic import (
+    GenericResult,
     candidate_vector,
+    dominance_maximum,
+    generic_class,
     generic_lambda,
+    generic_newton,
+    generic_newton_general,
+    is_cordial,
+    is_cordial_general,
+    lp_distances,
     oracle_generic_class,
+    transport,
+    twisted_candidates,
+    weyl_average,
 )
+from .linalg import QVec, vec_sub
 from .qbg import QBGraph
-from .rootdata import RootDatum, Vec
-from .snf import LatticeQuotient
+from .rootdata import GammaClass, RootDatum, Vec
 from .weyl import WeylElement, reflection, weyl_group
 
 
@@ -85,25 +102,12 @@ class CheckReport:
         return line
 
 
-def scan_class_coords(
-    quot: LatticeQuotient, box: int = 1
-) -> Iterator[tuple[int, ...]]:
-    """Every torsion class combined with exponents -box..box per free factor."""
-    ranges = []
-    for d in quot.diag:
-        if d == 0:
-            ranges.append(range(-box, box + 1))
-        else:
-            ranges.append(range(d if d > 0 else 1))
-    yield from product(*ranges)
-
-
 def scan_elements(
     d: RootDatum, cap: int, box: int = 1
 ) -> list[AffineElement]:
     """All x with l(x) <= cap, one translation-class coset at a time."""
     out: list[AffineElement] = []
-    for coords in scan_class_coords(d.coroot_quotient, box):
+    for coords in d.coroot_quotient.scan_coords(box):
         out.extend(af.enumerate_length_le(d, cap, coords))
     return out
 
@@ -116,9 +120,7 @@ def scan_elements(
 def check_oracle_equivalence(
     d: RootDatum,
     xs: Sequence[AffineElement],
-    jobs: int = 1,
     interval_budget: int = 200_000,
-    test_mode: bool = False,
 ) -> tuple[CheckReport, dict[tuple, SigmaClass]]:
     """kappa, nu and lambda of the interval maximum against the closed forms.
 
@@ -128,15 +130,15 @@ def check_oracle_equivalence(
     rep = CheckReport("oracle-equivalence")
     generics: dict[tuple, SigmaClass] = {}
     for x in xs:
-        res = generic_lambda(x, test_mode)
+        res = generic_lambda(x)
         b = SigmaClass(d, res.nu_x, kottwitz_point(x))
         generics[x.key] = b
         try:
-            oracle = oracle_generic_class(x, interval_budget, jobs)
+            oracle = oracle_generic_class(x, interval_budget)
+        except BudgetExceeded:
+            rep.budget_skips += 1
+            continue
         except ValueError as exc:
-            if "budget" in str(exc):
-                rep.budget_skips += 1
-                continue
             rep.record(False, f"{x!r}: {exc}")
             continue
         ok = (
@@ -222,6 +224,7 @@ def _sigma_w_order(d: RootDatum, w: WeylElement) -> int:
 
 
 def _zero_roots(d: RootDatum, x: AffineElement, v: WeylElement) -> set[int]:
+    """Positive roots alpha with l(x, v alpha) = 0."""
     return {
         i
         for i in range(d.n_pos)
@@ -493,19 +496,15 @@ def check_length_additivity(
 def run_battery(
     d: RootDatum,
     cap: int,
-    jobs: int = 1,
     box: int = 1,
     interval_budget: int = 200_000,
     n_paths: int = 200,
     n_pairs: int = 200,
     seed: int = 0,
-    test_mode: bool = False,
 ) -> list[CheckReport]:
     """Run every check; the CLI ``verify`` verb prints these reports."""
     xs = scan_elements(d, cap, box)
-    oracle_rep, generics = check_oracle_equivalence(
-        d, xs, jobs, interval_budget, test_mode
-    )
+    oracle_rep, generics = check_oracle_equivalence(d, xs, interval_budget)
     classes = [class_of(x) for x in xs] + list(generics.values())
     return [
         oracle_rep,
@@ -518,3 +517,117 @@ def run_battery(
         check_qbg_identities(d, n_paths, seed),
         check_length_additivity(d, xs, n_pairs, seed),
     ]
+
+
+# ----------------------------------------------------------------------
+# per-element cross-checks by redundant routes
+# ----------------------------------------------------------------------
+
+
+def gamma_maximum(d: RootDatum, classes: Iterable[GammaClass]) -> GammaClass:
+    """The unique maximum under the coinvariant order; raises if the
+    maximal elements are not unique."""
+    maximal: list[GammaClass] = []
+    for c in classes:
+        if any(d.leq_gamma(c, m) for m in maximal):
+            continue
+        maximal = [m for m in maximal if not d.leq_gamma(m, c)]
+        maximal.append(c)
+    if len(maximal) != 1:
+        raise ValueError(f"no unique maximum: {maximal}")
+    return maximal[0]
+
+
+def cross_check_weyl_maximum(x: AffineElement) -> None:
+    """The closed forms maximize over LP(x); the maximum over all of W must
+    agree.  On plain data every distance minimizer in LP(x) must also give
+    the lambda class of the witness."""
+    d = x.datum
+    weyl = weyl_group(d)
+    if d.omega_twist is not None:
+        full = dominance_maximum(d, twisted_candidates(x, weyl))
+        if full != generic_newton_general(x):
+            raise AssertionError(f"Weyl-maximum route disagrees for {x!r}")
+        return
+    res = generic_lambda(x)
+    lam = res.lambda_x
+    for v, dist in lp_distances(x):
+        if dist == res.d_min and d.gamma_class(candidate_vector(x, v)) != lam:
+            raise AssertionError(f"minimizers disagree at {v!r} for {x!r}")
+    full = gamma_maximum(
+        d, (d.gamma_class(candidate_vector(x, v)) for v in weyl)
+    )
+    if full != lam:
+        raise AssertionError(f"Weyl-maximum route disagrees for {x!r}")
+
+
+def _j_restricted_newton(x: AffineElement, res: GenericResult) -> QVec:
+    """conv via the estimate that only simple roots touching a zero
+    functional l(x, v alpha) = 0 can matter."""
+    d = x.datum
+    j0: set[int] = set()
+    for i in _zero_roots(d, x, res.witness_v):
+        j0.update(k for k, c in enumerate(d.roots[i].coords) if c != 0)
+    while True:
+        closure = {d.sigma_perm[i] for i in j0}
+        if closure <= j0:
+            break
+        j0 |= closure
+    if not frozenset(res.used_j) <= j0:
+        raise AssertionError("conv realizer escapes the zero-set estimate")
+    orbits = [o for o in d.sigma_simple_orbits() if o[0] in j0]
+    vec = d.avg_sigma(res.lambda_x.lift())
+    candidates = []
+    for mask in range(1 << len(orbits)):
+        j = frozenset(
+            i for k, o in enumerate(orbits) if mask & (1 << k) for i in o
+        )
+        cand = d.avg_J(vec, j)
+        if d.is_dominant(cand):
+            candidates.append(cand)
+    return dominance_maximum(d, candidates)
+
+
+def cross_check_j_restricted(x: AffineElement) -> None:
+    """nu_x recomputed with the convexification restricted to the simple
+    roots touching a zero functional at the witness (plain data)."""
+    res = generic_lambda(x)
+    if _j_restricted_newton(x, res) != res.nu_x:
+        raise AssertionError(f"J-restricted route disagrees for {x!r}")
+
+
+def cross_check_cordial_bound(x: AffineElement) -> None:
+    """l(x) - l(v^{-1} sigma(wv)) <= <nu_x, 2 rho> - defect(b_x) at the
+    canonical v, with equality iff ``is_cordial`` holds (plain data)."""
+    r = is_cordial(x)
+    b = generic_class(x)
+    lhs = x.length - r.twist_length
+    rhs = x.datum.pair_2rho(b.nu) - b.defect
+    if lhs > rhs:
+        raise AssertionError(f"cordiality upper bound violated at {x!r}")
+    if (lhs == rhs) != r.cordial:
+        raise AssertionError(f"cordiality routes disagree at {x!r}")
+
+
+def cross_check_transport(x: AffineElement) -> None:
+    """On an Omega-twisted datum, nu_x is nu(x gamma) - avg_W(mu_sigma) on
+    the plain datum, and the direct cordiality criterion agrees with its
+    definition, cordiality of x gamma."""
+    y = transport(x)
+    shift = weyl_average(x.datum, x.datum.omega_twist[1])
+    if vec_sub(generic_newton(y), shift) != tuple(generic_newton_general(x)):
+        raise AssertionError(f"transport route disagrees for {x!r}")
+    if is_cordial(y).cordial != is_cordial_general(x).cordial:
+        raise AssertionError(
+            f"direct criterion disagrees with the definition at {x!r}"
+        )
+
+
+def cross_check(x: AffineElement) -> None:
+    """Every cross-check that applies to the datum of x."""
+    cross_check_weyl_maximum(x)
+    if x.datum.omega_twist is None:
+        cross_check_j_restricted(x)
+        cross_check_cordial_bound(x)
+    else:
+        cross_check_transport(x)

@@ -64,10 +64,6 @@ class WeylElement:
     def act_root(self, root_index: int) -> int:
         return self.perm[root_index]
 
-    def sends_negative(self, root_index: int) -> bool:
-        """True iff w maps the given root to a negative root."""
-        return self.perm[root_index] >= self.datum.n_pos
-
     # -- length, words, descents -----------------------------------------
 
     @cached_property

@@ -2,7 +2,7 @@
 
 Criteria 2, 3, 4, 5 and 8 share one scan-and-check battery per root datum
 (the same battery the ``verify`` CLI verb runs), executed once per session
-at length cap 8 with four oracle workers.
+at length cap 8.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from affweyl.verify import (
     check_length_additivity,
     check_qbg_identities,
     check_sign_type_determination,
+    cross_check,
     find_sign_type_collision,
     run_battery,
     scan_elements,
@@ -34,7 +35,6 @@ from affweyl.weyl import WeylElement
 from affweyl.affine import AffineElement
 
 CAP = 8
-JOBS = 4
 
 SCAN_DATA = [
     ("A1-sc", datum("A", 1, "sc")),
@@ -58,7 +58,7 @@ def batteries():
     t0 = time.perf_counter()
     out = {}
     for name, d in SCAN_DATA:
-        reports = run_battery(d, CAP, jobs=JOBS)
+        reports = run_battery(d, CAP)
         out[name] = {r.name: r for r in reports}
     return out, time.perf_counter() - t0
 
@@ -80,9 +80,11 @@ def test_criterion_01_gl3_worked_example():
     assert af.virtual_dimension(s2, one) == 1
     assert af.virtual_dimension(s0, one) == 2
 
-    assert is_cordial(s1, test_mode=True).cordial
-    assert is_cordial(s2, test_mode=True).cordial
-    r0 = is_cordial(s0, test_mode=True)
+    for x in (s1, s2, s0):
+        cross_check(x)
+    assert is_cordial(s1).cordial
+    assert is_cordial(s2).cordial
+    r0 = is_cordial(s0)
     assert not r0.cordial and r0.failed == "(2)"
 
     elapsed = time.perf_counter() - t0
@@ -232,7 +234,8 @@ def test_criterion_10_twisted_newton_transport():
         shift = d.avg_J(d.omega_twist[1], range(d.ss_rank))
         for x in scan_elements(d, 6):
             # internal cross-check: LP maximum == Weyl maximum == transport
-            nu = generic_newton_general(x, test_mode=True)
+            cross_check(x)
+            nu = generic_newton_general(x)
             # and the explicit transported computation once more
             y = x * gamma
             yp = AffineElement(

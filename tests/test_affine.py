@@ -109,7 +109,7 @@ class TestBruhatOrder:
 
     def test_budget_error(self, gl2):
         x = af.from_parts(simple_reflection(gl2, 0), (4, -4))
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(af.BudgetExceeded, match="budget"):
             af.lower_interval(x, max_size=3)
 
     def test_kottwitz_class_constant_on_interval(self, gl3):

@@ -256,3 +256,39 @@ class TestConfigErrors:
         code, _, err = run(capsys, "describe", "--config", str(p))
         assert code == 2
         assert "invalid config" in err
+
+    @pytest.mark.parametrize(
+        "config,field",
+        [
+            ({"budgets": [1]}, "config.budgets"),
+            ({"components": [{"type": "A", "rank": "x"}]}, "rank"),
+            ({"budgets": {"coweight_box": "q"}}, "budgets.coweight_box"),
+            ({"budgets": {"coweight_box": -2}}, "budgets.coweight_box"),
+            ({"frobenius": [1]}, "config.frobenius"),
+            ({"lattice": "adjoint", "frobenius": {"twist": [1]}},
+             "frobenius.twist"),
+            ({"lattice": "adjoint",
+              "frobenius": {"twist": {"sigma1_word": ["a"], "mu_sigma": [1]}}},
+             "twist.sigma1_word"),
+            ({"lattice": "adjoint",
+              "frobenius": {"twist": {"sigma1_word": [1], "mu_sigma": 5}}},
+             "twist.mu_sigma"),
+            ({"lattice": "custom", "lattice_basis": [["a"]]}, "lattice_basis"),
+            ({"lattice": "custom", "lattice_basis": 5}, "lattice_basis"),
+        ],
+        ids=[
+            "budgets-not-object", "rank-not-integer", "budget-not-integer",
+            "budget-negative",
+            "frobenius-not-object", "twist-not-object", "twist-word",
+            "twist-mu", "basis-entry", "basis-not-list",
+        ],
+    )
+    def test_bad_field_is_named(self, capsys, tmp_path, config, field):
+        p = tmp_path / "bad.json"
+        p.write_text(
+            json.dumps({"components": [{"type": "A", "rank": 1}], **config})
+        )
+        code, _, err = run(capsys, "verify", "--config", str(p), "--cap", "1")
+        assert code == 2
+        assert err.startswith("error: invalid config: ")
+        assert field in err

@@ -3,7 +3,8 @@
 The expected values below were frozen from the independent Bruhat-interval
 oracle (maximize class invariants over the lower interval), then checked
 against the closed forms; the two routes are compared wholesale in
-tests/test_acceptance.py.
+tests/test_acceptance.py.  ``cross_check`` runs the redundant routes of
+``affweyl.verify`` on the elements tested here.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from affweyl.generic import (
     plain_datum,
     twist_gamma,
 )
+from affweyl.qbg import QBGraph
 from affweyl.rootdata import datum
-from affweyl.weyl import WeylElement, from_word, simple_reflection
+from affweyl.verify import cross_check
+from affweyl.weyl import WeylElement, from_word, simple_reflection, weyl_group
 from affweyl.affine import AffineElement
 
 
@@ -50,7 +53,8 @@ class TestGenericNewton:
     def test_sl2_translation_times_s(self, sl2):
         # x = s eps^{alpha^vee}: length 3, generic class is regular
         x = af.from_parts(simple_reflection(sl2, 0), (1,))
-        res = generic_lambda(x, test_mode=True)
+        cross_check(x)
+        res = generic_lambda(x)
         assert res.nu_x == (1,)
         assert res.lambda_x.lift() == (1,)
         assert res.witness_v.is_identity
@@ -62,13 +66,15 @@ class TestGenericNewton:
         s = simple_reflection(gl2, 0)
         x = af.from_parts(s, (1, 0))
         assert x.length == 2
-        assert generic_newton(x, test_mode=True) == (1, 0)
+        cross_check(x)
+        assert generic_newton(x) == (1, 0)
         assert generic_lambda(x).lambda_x.lift() == (1, 0)
 
         # (s, (0,1)) = eps^{(1,0)} s has length 0: its own class is generic
         y = af.from_parts(s, (0, 1))
         assert y.length == 0
-        assert generic_newton(y, test_mode=True) == (
+        cross_check(y)
+        assert generic_newton(y) == (
             Fraction(1, 2),
             Fraction(1, 2),
         )
@@ -76,20 +82,19 @@ class TestGenericNewton:
 
     def test_matches_own_class_for_length_zero(self, gl3):
         omega = af.omega_element(gl3, gl3.coroot_quotient.coords((1, 0, 0)))
-        b = generic_class(omega, test_mode=True)
-        assert b == class_of(omega)
+        cross_check(omega)
+        assert generic_class(omega) == class_of(omega)
 
     def test_oracle_agreement_small_scan(self, sl2, gl2):
         for d, cap in [(sl2, 5), (gl2, 4)]:
             for cc in d.coroot_quotient.scan_coords():
                 for x in af.enumerate_length_le(d, cap, cc):
-                    assert generic_class(x, test_mode=True) == (
-                        oracle_generic_class(x)
-                    ), repr(x)
+                    cross_check(x)
+                    assert generic_class(x) == oracle_generic_class(x), repr(x)
 
     def test_oracle_respects_budget(self, gl2):
         x = af.translation(gl2, (3, -3))
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(af.BudgetExceeded, match="budget"):
             oracle_generic_class(x, max_size=5)
 
     def test_witness_is_length_positive(self, gl3):
@@ -105,9 +110,11 @@ class TestCordial:
         s1 = af.from_affine_word(gl3, (0,))
         s2 = af.from_affine_word(gl3, (1,))
         s0 = af.from_affine_word(gl3, (2,))
-        assert is_cordial(s1, test_mode=True).cordial
-        assert is_cordial(s2, test_mode=True).cordial
-        r = is_cordial(s0, test_mode=True)
+        for x in (s1, s2, s0):
+            cross_check(x)
+        assert is_cordial(s1).cordial
+        assert is_cordial(s2).cordial
+        r = is_cordial(s0)
         assert not r.cordial
         assert r.failed == "(2)"
         assert r.d_min == 1
@@ -115,7 +122,9 @@ class TestCordial:
 
     def test_translations_are_cordial(self, gl3):
         for mu in [(2, 1, 0), (1, 1, 0), (0, 0, 0), (3, 0, -1)]:
-            assert is_cordial(af.translation(gl3, mu), test_mode=True).cordial
+            x = af.translation(gl3, mu)
+            cross_check(x)
+            assert is_cordial(x).cordial
 
     def test_cordial_inequality_failure_mode_one(self):
         # in C2 some elements fail because the distance minimum is attained
@@ -157,7 +166,8 @@ class TestTwistedForms:
         # shifted back by the Weyl average of mu_sigma
         # lattice coords: omega^vee = (1), so nu = alpha^vee / 2 reads (1,)
         x = af.from_parts(simple_reflection(pgl2t, 0), (0,))
-        nu = generic_newton_general(x, test_mode=True)
+        cross_check(x)
+        nu = generic_newton_general(x)
         assert nu == (1,)
         assert pgl2t.coroot_coords(nu) == (Fraction(1, 2),)
 
@@ -184,13 +194,13 @@ class TestTwistedForms:
             is_cordial(x)
 
     def test_cordial_general_against_definition(self, pgl2t, pgl3t):
-        # test_mode recomputes cordiality of the transported element with
+        # cross_check recomputes cordiality of the transported element with
         # the quasi-split criterion and asserts agreement
         for d, cap in [(pgl2t, 5), (pgl3t, 3)]:
             for cc in d.coroot_quotient.scan_coords():
                 for x in af.enumerate_length_le(d, cap, cc):
-                    r = is_cordial_general(x, test_mode=True)
-                    assert r.cordial in (True, False)
+                    cross_check(x)
+                    assert is_cordial_general(x).cordial in (True, False)
 
     def test_literal_quantifier_range_is_refuted(self):
         # ranging v' over {v' : sigma_1^{-1} v' in LP(x)} instead of LP(x)
@@ -201,11 +211,24 @@ class TestTwistedForms:
             perm=(2, 1),
             twist={"sigma1_word": [1, 2], "mu_sigma": [1, 0]},
         )
+        g = QBGraph.of(d)
+        s1_inv = from_word(d, d.omega_twist[0]).inverse()
+
+        def literal_cordial(x, r):
+            # the direct criterion of r = is_cordial_general(x), with the
+            # quantifier of condition (1) read literally
+            cond1 = all(
+                g.d(s1_inv * vp, (x.w * vp).twist()) >= r.d_min
+                for vp in weyl_group(d)
+                if af.is_length_positive(x, s1_inv * vp)
+            )
+            return cond1 and r.d_min == r.twist_length
+
         disagreements = 0
         for cc in d.coroot_quotient.scan_coords():
             for x in af.enumerate_length_le(d, 4, cc):
-                a = is_cordial_general(x, test_mode=True)
-                b = is_cordial_general(x, lp_range="literal")
-                if a.cordial != b.cordial:
+                cross_check(x)
+                r = is_cordial_general(x)
+                if r.cordial != literal_cordial(x, r):
                     disagreements += 1
         assert disagreements > 0

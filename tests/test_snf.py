@@ -108,6 +108,13 @@ class TestLatticeQuotient:
         assert len(classes) == 6
         assert all(q.coords(q.lift(c)) == c for c in classes)
 
+    def test_scan_coords_box_order(self):
+        q = LatticeQuotient(2, [(2, 0)])
+        assert q.diag == (2, 0)
+        assert list(q.scan_coords(2)) == [
+            (t, f) for t in range(2) for f in range(-2, 3)
+        ]
+
     def test_generator_coords_span(self):
         q = LatticeQuotient(2, [(2, 0)])
         gens = q.generator_coords()
