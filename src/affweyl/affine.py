@@ -325,15 +325,23 @@ def lower_interval(
     """All elements <= x in the Bruhat order, via the subword property.
 
     Runs a prefix scan over one reduced word of the affine part: the subword
-    closure after j letters is S_j = S_{j-1} union S_{j-1} r_j.  Raises
-    ``BudgetExceeded`` once the closure holds more than ``max_size``
-    elements.
+    closure after j letters is S_j = S_{j-1} union S_{j-1} r_j, from
+    S_0 = {e}.  Raises ``BudgetExceeded`` once some S_j holds more than
+    ``max_size`` elements.
     """
     d = x.datum
     tau, word = x.omega_and_word
     elems: dict[tuple, AffineElement] = {
         affine_identity(d).key: affine_identity(d)
     }
+
+    def check_budget() -> None:
+        if len(elems) > max_size:
+            raise BudgetExceeded(
+                f"Bruhat interval below {x!r} exceeds the budget {max_size}"
+            )
+
+    check_budget()
     for n in word:
         r = affine_simple_reflection(d, n)
         new = {}
@@ -342,10 +350,7 @@ def lower_interval(
             if yr.key not in elems:
                 new[yr.key] = yr
         elems.update(new)
-        if len(elems) > max_size:
-            raise BudgetExceeded(
-                f"Bruhat interval below {x!r} exceeds the budget {max_size}"
-            )
+        check_budget()
     out = [tau * y for y in elems.values()]
     out.sort(key=lambda y: (y.length, y.key))
     return tuple(out)

@@ -121,6 +121,7 @@ def parse_element(d: RootDatum, expr: str) -> AffineElement:
     if ";" in expr or ":" in expr:
         word: list[int] = []
         mu: Optional[tuple[int, ...]] = None
+        seen: set[str] = set()
         for segment in expr.split(";"):
             segment = segment.strip()
             if not segment:
@@ -129,6 +130,9 @@ def parse_element(d: RootDatum, expr: str) -> AffineElement:
             if not sep:
                 raise CliError(f"bad segment {segment!r} (expected key: value)")
             key = key.strip()
+            if key in seen:
+                raise CliError(f"repeated key {key!r} in element expression")
+            seen.add(key)
             if key == "w":
                 word = [
                     _finite_generator(d, t) for t in value.split()

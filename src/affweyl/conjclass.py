@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as _cartesian
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
 from .affine import AffineElement, from_parts
-from .linalg import QVec, identity_mat, mat_mul, mat_vec, vec_sub
+from .linalg import QVec, mat_mul, mat_vec, vec_sub
 from .rootdata import GammaClass, RootDatum, Vec
-from .weyl import WeylElement, weyl_group
+from .weyl import WeylElement, sigma_w_order, weyl_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,14 +146,7 @@ def newton_point(x: AffineElement) -> QVec:
     """The dominant average of mu over the (sigma w)-orbit."""
     d = x.datum
     op = mat_mul(d.sigma_mat, x.w.mat)
-    power = op
-    order = 1
-    cap = d.weyl_cap * max(1, d.sigma_order)
-    while power != identity_mat(d.rank):
-        power = mat_mul(op, power)
-        order += 1
-        if order > cap:  # pragma: no cover - the operator has finite order
-            raise AssertionError("sigma w does not have finite order on X")
+    order = sigma_w_order(x.w)  # averaging over any period gives the same
     acc = [Fraction(0)] * d.rank
     cur: tuple = x.mu
     for _ in range(order):
@@ -184,7 +177,7 @@ def identity_class(d: RootDatum) -> SigmaClass:
     return class_of(affine_identity(d))
 
 
-def maximal_classes(classes: Iterator[SigmaClass]) -> list[SigmaClass]:
+def maximal_classes(classes: Iterable[SigmaClass]) -> list[SigmaClass]:
     """The maximal elements of a family under the partial order."""
     maximal: list[SigmaClass] = []
     for b in classes:

@@ -49,7 +49,7 @@ from .conjclass import (
 from .linalg import QVec, qvec, vec_add, vec_sub
 from .qbg import QBGraph
 from .rootdata import GammaClass, RootDatum, Vec
-from .weyl import WeylElement, dominant_representative, from_word
+from .weyl import WeylElement, dominant_representative, from_perm, from_word
 
 
 def _require_plain(d: RootDatum) -> None:
@@ -131,7 +131,10 @@ def oracle_generic_class(
 ) -> SigmaClass:
     """max{[y] : y <= x} by enumerating the Bruhat interval; the maximum is
     asserted to be unique.  Raises ``BudgetExceeded`` over ``max_size``."""
-    merged = maximal_classes(class_of(y) for y in lower_interval(x, max_size))
+    # distinct classes in first-seen order: a repeat never changes the maximum
+    merged = maximal_classes(
+        dict.fromkeys(class_of(y) for y in lower_interval(x, max_size))
+    )
     if len(merged) != 1:
         raise ValueError(f"no unique maximal class below {x!r}: {merged}")
     return merged[0]
@@ -235,7 +238,7 @@ def transport(x: AffineElement) -> AffineElement:
     """x gamma, rebased onto the plain (sigma_2-Frobenius) datum."""
     y = x * twist_gamma(x.datum)
     plain = plain_datum(x.datum)
-    return AffineElement(plain, WeylElement(plain, y.w.perm, y.w.mat), y.mu)
+    return AffineElement(plain, from_perm(plain, y.w.perm), y.mu)
 
 
 def generic_class_general(x: AffineElement) -> SigmaClass:

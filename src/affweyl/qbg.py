@@ -15,6 +15,7 @@ shortest path (this independence is asserted on every query).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Optional, Sequence
 
 from .rootdata import RootDatum, Vec
@@ -26,29 +27,30 @@ class QBGraph:
     """Quantum Bruhat graph with lazily computed distance/weight rows."""
 
     datum: RootDatum
-    vertices: tuple[WeylElement, ...]
-    index: dict[WeylElement, int]
+    vertices: tuple[WeylElement, ...]  # weyl_group order: vertex i has index i
     edges: tuple[tuple[tuple[int, Vec, int], ...], ...]  # per source: (target, wt, root)
     _rows: dict = field(default_factory=dict, repr=False)
+    _weights: dict = field(default_factory=dict, repr=False)  # shared by all rows
 
     @staticmethod
     def of(d: RootDatum) -> "QBGraph":
         if "qbg" not in d._caches:
             vertices = weyl_group(d)
-            index = {w: i for i, w in enumerate(vertices)}
             zero = tuple(0 for _ in range(d.ss_rank))
+            refl = [reflection(d, a) for a in range(d.n_pos)]
+            quantum = [1 - d.pair_2rho(d.roots[a].covec) for a in range(d.n_pos)]
             edges = []
             for w in vertices:
                 out = []
-                for a in range(d.n_pos):
-                    ws = w * reflection(d, a)
+                for a, s in enumerate(refl):
+                    ws = w * s
                     dl = ws.length - w.length
                     if dl == 1:
-                        out.append((index[ws], zero, a))
-                    elif dl == 1 - d.pair_2rho(d.roots[a].covec):
-                        out.append((index[ws], d.roots[a].cocoords, a))
+                        out.append((ws.index, zero, a))
+                    elif dl == quantum[a]:
+                        out.append((ws.index, d.roots[a].cocoords, a))
                 edges.append(tuple(out))
-            d._caches["qbg"] = QBGraph(d, vertices, index, tuple(edges))
+            d._caches["qbg"] = QBGraph(d, vertices, tuple(edges))
         return d._caches["qbg"]
 
     @property
@@ -87,13 +89,19 @@ class QBGraph:
                 frontier = new
             if any(x == -1 for x in dist):  # pragma: no cover - graph is connected
                 raise AssertionError("quantum Bruhat graph is not strongly connected")
+            weights = self._weights
             wt: list[Optional[Vec]] = [None] * n
             wt[src] = tuple(0 for _ in range(self.datum.ss_rank))
             for u in order:
+                du, wu = dist[u] + 1, wt[u]
                 for v, w_edge, _ in self.edges[u]:
-                    if dist[v] != dist[u] + 1:
+                    if dist[v] != du:
                         continue
-                    cand = tuple(a + b for a, b in zip(wt[u], w_edge))
+                    if any(w_edge):  # a Bruhat edge adds nothing
+                        cand = tuple(map(add, wu, w_edge))
+                        cand = weights.setdefault(cand, cand)
+                    else:
+                        cand = wu
                     if wt[v] is None:
                         wt[v] = cand
                     elif wt[v] != cand:  # pragma: no cover - shortest-path weights are unique
@@ -106,13 +114,11 @@ class QBGraph:
 
     def d(self, u: WeylElement, v: WeylElement) -> int:
         """Minimal number of edges on a path u -> v."""
-        row = self._row(self.index[u])
-        return row[0][self.index[v]]
+        return self._row(u.index)[0][v.index]
 
     def wt(self, u: WeylElement, v: WeylElement) -> Vec:
         """Weight of a shortest path u -> v, in simple-coroot coordinates."""
-        row = self._row(self.index[u])
-        return row[1][self.index[v]]
+        return self._row(u.index)[1][v.index]
 
     def wt_vec(self, u: WeylElement, v: WeylElement) -> Vec:
         """Weight of a shortest path u -> v, as an element of X."""
@@ -130,8 +136,8 @@ class QBGraph:
         steps = 0
         acc = tuple(0 for _ in range(self.datum.ss_rank))
         for u, v in zip(path, path[1:]):
-            for t, w_edge, _ in self.edges[self.index[u]]:
-                if t == self.index[v]:
+            for t, w_edge, _ in self.edges[u.index]:
+                if t == v.index:
                     acc = tuple(a + b for a, b in zip(acc, w_edge))
                     steps += 1
                     break

@@ -33,7 +33,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import affine as af
@@ -66,7 +65,7 @@ from .generic import (
 from .linalg import QVec, vec_sub
 from .qbg import QBGraph
 from .rootdata import GammaClass, RootDatum, Vec
-from .weyl import WeylElement, reflection, weyl_group
+from .weyl import WeylElement, reflection, sigma_w_order, weyl_group
 
 
 @dataclass
@@ -211,18 +210,6 @@ def check_defect_consistency(
     return rep
 
 
-def _sigma_w_order(d: RootDatum, w: WeylElement) -> int:
-    perm = tuple(d.sigma_root_perm[p] for p in w.perm)
-    order = 1
-    for start in range(len(perm)):
-        n, i = 1, perm[start]
-        while i != start:
-            i = perm[i]
-            n += 1
-        order = lcm(order, n)
-    return lcm(order, d.sigma_order)
-
-
 def _zero_roots(d: RootDatum, x: AffineElement, v: WeylElement) -> set[int]:
     """Positive roots alpha with l(x, v alpha) = 0."""
     return {
@@ -275,7 +262,7 @@ def check_fundamental_consistency(
 
         f_ii = True
         prod = x
-        for k in range(1, _sigma_w_order(d, x.w)):
+        for k in range(1, sigma_w_order(x.w)):
             prod = prod * x.twist(k)
             if prod.length != (k + 1) * x.length:
                 f_ii = False
@@ -428,7 +415,7 @@ def check_qbg_identities(
         cur = rng.choice(ws)
         path = [cur]
         for _ in range(rng.randrange(1, 5)):
-            targets = [t for t, _, _ in g.edges[g.index[cur]]]
+            targets = [t for t, _, _ in g.edges[cur.index]]
             cur = g.vertices[rng.choice(targets)]
             path.append(cur)
         steps, wt = g.path_weight(path)

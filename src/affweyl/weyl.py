@@ -1,59 +1,71 @@
-"""Finite Weyl group elements acting on the coweight lattice.
+"""Finite Weyl groups as per-datum tables of interned elements.
 
-An element stores its permutation of the root list together with its matrix
-on X; equality and hashing go through the permutation.  The element order
-produced by :func:`weyl_group` is deterministic (by length, then by the
-lexicographically smallest reduced word), and all witnesses reported by the
-higher-level searches are the first minimizers in this order.
+The first call of :func:`weyl_group` on a root datum builds its whole Weyl
+group W and keeps it in the datum's caches.  The build is a breadth-first
+search over root permutations from the identity, under the datum's
+``weyl_cap``; each new element's matrix on X is computed once, as its
+parent's matrix times a simple reflection's.  Every element then carries
+its root permutation, its matrix, its length, its inverse and its
+lexicographically smallest reduced word, found from permutations alone in
+length order: word(w) = (i,) + word(s_i w) for the smallest left descent i.
+
+Elements are interned: W has exactly one object per element, so equality
+is identity.  An element is determined by the images of the simple roots,
+and the table is keyed by them; products, inverses, Frobenius twists and
+reflections are lookups, with no rational arithmetic.
+
+The element order of :func:`weyl_group` is deterministic (by length, then
+by the lexicographically smallest reduced word), and all witnesses
+reported by the higher-level searches are the first minimizers in this
+order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from math import lcm
 from typing import Sequence
 
-from .linalg import mat_inverse, mat_mul, mat_vec
+from .linalg import identity_mat, mat_mul, mat_vec
 from .rootdata import Mat, RootDatum, Vec
 
 
-@dataclass(frozen=True, eq=False)
 class WeylElement:
-    """A Weyl group element w, as a root permutation plus a matrix on X."""
+    """An element w of the Weyl group of a root datum.
 
-    datum: RootDatum
-    perm: Vec
-    mat: Mat
+    ``perm`` sends each root index to the index of its image under w,
+    ``mat`` is the matrix of w on X, ``length`` the number of inversions,
+    ``word`` the lexicographically smallest reduced word (simple indices)
+    and ``index`` the position in :func:`weyl_group`.  Instances are made
+    only by the datum's table, one per element, and compare by identity;
+    obtain them through :func:`weyl_group`, :func:`from_word`,
+    :func:`from_perm` and the other constructors below.
+    """
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.datum is other.datum
-            and self.perm == other.perm
-        )
+    __slots__ = (
+        "datum", "perm", "mat", "length", "word", "index", "_inverse", "_table",
+    )
 
-    def __hash__(self) -> int:
-        return hash((id(self.datum), self.perm))
+    def __init__(self, table: "_Table", perm: Vec, mat: Mat, length: int):
+        self.datum = table.datum
+        self._table = table
+        self.perm = perm
+        self.mat = mat
+        self.length = length
 
     # -- group structure ------------------------------------------------
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.datum is not other.datum:
             raise ValueError("elements of different Weyl groups")
-        perm = tuple(self.perm[p] for p in other.perm)
-        return WeylElement(self.datum, perm, mat_mul(self.mat, other.mat))
+        perm, op, t = self.perm, other.perm, self._table
+        return t.by_key[tuple([perm[op[s]] for s in t.simple_idx])]
 
     def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        matq = mat_inverse(self.mat)
-        mat = tuple(tuple(int(x) for x in row) for row in matq)
-        return WeylElement(self.datum, tuple(inv), mat)
+        return self._inverse
 
     @property
     def is_identity(self) -> bool:
-        return all(i == p for i, p in enumerate(self.perm))
+        return self.length == 0
 
     # -- actions ---------------------------------------------------------
 
@@ -65,11 +77,6 @@ class WeylElement:
         return self.perm[root_index]
 
     # -- length, words, descents -----------------------------------------
-
-    @cached_property
-    def length(self) -> int:
-        n = self.datum.n_pos
-        return sum(1 for i in range(n) if self.perm[i] >= n)
 
     def inversions(self) -> list[int]:
         """Indices of the positive roots mapped to negative roots."""
@@ -84,27 +91,6 @@ class WeylElement:
             if self.perm[d.simple_idx[i]] >= d.n_pos
         ]
 
-    @cached_property
-    def word(self) -> Vec:
-        """The lexicographically smallest reduced word (simple indices)."""
-        out: list[int] = []
-        cur = self
-        d = self.datum
-        while True:
-            inv = cur.inverse()
-            i = next(
-                (
-                    i
-                    for i in range(d.ss_rank)
-                    if inv.perm[d.simple_idx[i]] >= d.n_pos
-                ),
-                None,
-            )
-            if i is None:
-                return tuple(out)
-            out.append(i)
-            cur = simple_reflection(d, i) * cur
-
     def __repr__(self) -> str:
         if self.is_identity:
             return "e"
@@ -114,17 +100,12 @@ class WeylElement:
 
     def twist(self, power: int = 1) -> "WeylElement":
         """sigma^power(w), the Frobenius applied to the element."""
-        d = self.datum
-        p = power % d.sigma_order
-        perm = self.perm
-        mat = self.mat
-        for _ in range(p):
-            perm = tuple(
-                d.sigma_root_perm[perm[_sigma_root_inv(d)[i]]]
-                for i in range(len(perm))
-            )
-            mat = mat_mul(d.sigma_mat, mat_mul(mat, _sigma_mat_inv(d)))
-        return WeylElement(d, perm, mat)
+        t = self._table
+        out = self
+        for _ in range(power % self.datum.sigma_order):
+            perm = out.perm
+            out = t.by_key[tuple([t.sigma_root_perm[perm[s]] for s in t.sigma_pre])]
+        return out
 
     def supp(self) -> frozenset[int]:
         """Simple indices occurring in (any) reduced word for w."""
@@ -141,66 +122,116 @@ class WeylElement:
             out = grown
 
 
-def _sigma_root_inv(d: RootDatum) -> Vec:
-    if "sigma_root_inv" not in d._caches:
-        inv = [0] * len(d.sigma_root_perm)
-        for i, p in enumerate(d.sigma_root_perm):
-            inv[p] = i
-        d._caches["sigma_root_inv"] = tuple(inv)
-    return d._caches["sigma_root_inv"]
+class _Table:
+    """The Weyl group of one datum, in :func:`weyl_group` order.
 
+    ``by_key`` maps the images of the simple roots (root indices, in the
+    order of ``simple_idx``) to the element.  The twist of w reads w on the
+    roots ``sigma_pre`` (the sigma-preimages of the simple roots) and
+    applies ``sigma_root_perm``.
+    """
 
-def _sigma_mat_inv(d: RootDatum) -> Mat:
-    # sigma has finite order, so sigma^{order-1} is the inverse
-    if "sigma_mat_inv" not in d._caches:
-        acc = tuple(
-            tuple(1 if i == j else 0 for j in range(d.rank)) for i in range(d.rank)
+    __slots__ = (
+        "datum", "simple_idx", "sigma_root_perm", "sigma_pre", "by_key",
+        "elements", "simple",
+    )
+
+    def __init__(self, d: RootDatum):
+        self.datum = d
+        self.simple_idx = simple = d.simple_idx
+        self.sigma_root_perm = d.sigma_root_perm
+        sigma_inv = {p: i for i, p in enumerate(d.sigma_root_perm)}
+        self.sigma_pre = tuple(sigma_inv[s] for s in simple)
+        gens = [
+            (d._simple_root_perm(i), d._simple_mat(i)) for i in range(d.ss_rank)
+        ]
+        e = WeylElement(self, tuple(range(len(d.roots))), identity_mat(d.rank), 0)
+        e.word = ()
+        by_key = {tuple(simple): e}
+        order = [e]  # by length, since BFS levels are the lengths
+        level = [e]
+        length = 0
+        while level:
+            length += 1
+            new = []
+            for w in level:
+                perm = w.perm
+                for sperm, smat in gens:
+                    key = tuple([perm[sperm[s]] for s in simple])
+                    if key not in by_key:
+                        ws = WeylElement(
+                            self,
+                            tuple([perm[p] for p in sperm]),
+                            mat_mul(w.mat, smat),
+                            length,
+                        )
+                        by_key[key] = ws
+                        new.append(ws)
+            order.extend(new)
+            level = new
+            if len(by_key) > d.weyl_cap:
+                raise ValueError(
+                    f"Weyl group larger than the configured cap {d.weyl_cap}"
+                )
+        self.by_key = by_key
+        self.simple = tuple(
+            by_key[tuple(sperm[s] for s in simple)] for sperm, _ in gens
         )
-        for _ in range(d.sigma_order - 1):
-            acc = mat_mul(acc, d.sigma_mat)
-        d._caches["sigma_mat_inv"] = acc
-    return d._caches["sigma_mat_inv"]
+        for w in order[1:]:
+            # the smallest left descent i (l(s_i w) < l(w)) starts the
+            # lexicographically smallest reduced word; s_i w comes earlier
+            # in ``order``, so its word is known
+            for i, s in enumerate(self.simple):
+                u = s * w
+                if u.length < w.length:
+                    w.word = (i,) + u.word
+                    break
+        self.elements = tuple(sorted(order, key=lambda w: (w.length, w.word)))
+        for index, w in enumerate(self.elements):
+            w.index = index
+            inv = [0] * len(w.perm)
+            for i, p in enumerate(w.perm):
+                inv[p] = i
+            w._inverse = by_key[tuple([inv[s] for s in simple])]
+
+
+def _table(d: RootDatum) -> _Table:
+    if "weyl_table" not in d._caches:
+        weyl_group(d)
+    return d._caches["weyl_table"]
+
+
+def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
+    """All of W, ordered by (length, lexicographic reduced word); the first
+    call builds the datum's table."""
+    if "weyl_table" not in d._caches:
+        d._caches["weyl_table"] = _Table(d)
+    return d._caches["weyl_table"].elements
 
 
 def identity(d: RootDatum) -> WeylElement:
-    if "weyl_identity" not in d._caches:
-        n = len(d.roots)
-        mat = tuple(
-            tuple(1 if i == j else 0 for j in range(d.rank)) for i in range(d.rank)
-        )
-        d._caches["weyl_identity"] = WeylElement(d, tuple(range(n)), mat)
-    return d._caches["weyl_identity"]
+    return _table(d).elements[0]
 
 
 def simple_reflection(d: RootDatum, i: int) -> WeylElement:
     if not 0 <= i < d.ss_rank:
         raise ValueError(f"simple reflection index {i} out of range 0..{d.ss_rank - 1}")
-    key = ("weyl_simple", i)
-    if key not in d._caches:
-        d._caches[key] = WeylElement(d, d._simple_root_perm(i), d._simple_mat(i))
-    return d._caches[key]
+    return _table(d).simple[i]
 
 
 def reflection(d: RootDatum, root_index: int) -> WeylElement:
     """The reflection s_alpha for an arbitrary root."""
-    key = ("weyl_reflection", d.neg_root(root_index) if root_index >= d.n_pos else root_index)
+    idx = d.neg_root(root_index) if root_index >= d.n_pos else root_index
+    key = ("weyl_reflection", idx)
     if key not in d._caches:
-        idx = key[1]
         r = d.roots[idx]
         by_coords = d._root_by_coords()
-        perm = []
-        for b in d.roots:
-            p = d.coroot_pairing(idx, b.index)
-            img = tuple(c - p * a for c, a in zip(b.coords, r.coords))
-            perm.append(by_coords[img])
-        mat = tuple(
-            tuple(
-                (1 if a == b else 0) - r.covec[a] * r.func[b]
-                for b in range(d.rank)
-            )
-            for a in range(d.rank)
-        )
-        d._caches[key] = WeylElement(d, tuple(perm), mat)
+        images = []  # s_alpha(alpha_i) = alpha_i - <alpha^vee, alpha_i> alpha
+        for s in d.simple_idx:
+            p = d.coroot_pairing(idx, s)
+            coords = zip(d.roots[s].coords, r.coords)
+            images.append(by_coords[tuple(c - p * a for c, a in coords)])
+        d._caches[key] = _table(d).by_key[tuple(images)]
     return d._caches[key]
 
 
@@ -211,29 +242,30 @@ def from_word(d: RootDatum, word: Sequence[int]) -> WeylElement:
     return out
 
 
-def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
-    """All of W, ordered by (length, lexicographic reduced word)."""
-    if "weyl_group" not in d._caches:
-        gens = [simple_reflection(d, i) for i in range(d.ss_rank)]
-        seen = {identity(d)}
-        frontier = [identity(d)]
-        while frontier:
-            new = []
-            for w in frontier:
-                for g in gens:
-                    w2 = w * g
-                    if w2 not in seen:
-                        seen.add(w2)
-                        new.append(w2)
-            frontier = new
-            if len(seen) > d.weyl_cap:
-                raise ValueError(
-                    f"Weyl group larger than the configured cap {d.weyl_cap}"
-                )
-        d._caches["weyl_group"] = tuple(
-            sorted(seen, key=lambda w: (w.length, w.word))
+def from_perm(d: RootDatum, perm: Sequence[int]) -> WeylElement:
+    """The element of W with the given root permutation."""
+    w = _table(d).by_key.get(tuple(perm[s] for s in d.simple_idx))
+    if w is None or w.perm != tuple(perm):
+        raise ValueError(
+            f"{tuple(perm)} is not the root permutation of a Weyl group element"
         )
-    return d._caches["weyl_group"]
+    return w
+
+
+def sigma_w_order(w: WeylElement) -> int:
+    """A period of sigma w on X: the lcm of its order on the roots and the
+    order of sigma.  (sigma w)^n with n that lcm is an element of W fixing
+    every root, hence the identity."""
+    d = w.datum
+    perm = tuple(d.sigma_root_perm[p] for p in w.perm)
+    order = 1
+    for start in range(len(perm)):
+        n, i = 1, perm[start]
+        while i != start:
+            i = perm[i]
+            n += 1
+        order = lcm(order, n)
+    return lcm(order, d.sigma_order)
 
 
 def longest_element(d: RootDatum) -> WeylElement:
@@ -250,34 +282,22 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     """
     if u.datum is not v.datum:
         raise ValueError("elements of different Weyl groups")
-    cache = u.datum._caches.setdefault("bruhat_leq", {})
     d = u.datum
+    cache = d._caches.setdefault("bruhat_leq", {})
 
-    def rec(up: Vec, vp: Vec, ul: int, vl: int) -> bool:
-        if ul > vl:
+    def rec(u: WeylElement, v: WeylElement) -> bool:
+        if u.length > v.length:
             return False
-        if up == vp:
+        if u is v:
             return True
-        if vl == 0:
-            return False
-        key = (up, vp)
-        if key in cache:
-            return cache[key]
-        i = next(
-            i for i in range(d.ss_rank) if vp[d.simple_idx[i]] >= d.n_pos
-        )
-        s = simple_reflection(d, i)
-        vs = tuple(vp[p] for p in s.perm)
-        us = tuple(up[p] for p in s.perm)
-        usl = sum(1 for k in range(d.n_pos) if us[k] >= d.n_pos)
-        if usl < ul:
-            out = rec(us, vs, usl, vl - 1)
-        else:
-            out = rec(up, vs, ul, vl - 1)
-        cache[key] = out
-        return out
+        key = (u.index, v.index)
+        if key not in cache:
+            s = simple_reflection(d, v.right_descents()[0])
+            us = u * s
+            cache[key] = rec(us if us.length < u.length else u, v * s)
+        return cache[key]
 
-    return rec(u.perm, v.perm, u.length, v.length)
+    return rec(u, v)
 
 
 def dominant_representative(d: RootDatum, mu: Sequence) -> tuple[tuple, WeylElement]:

@@ -31,7 +31,7 @@ from affweyl.verify import (
     run_battery,
     scan_elements,
 )
-from affweyl.weyl import WeylElement
+from affweyl.weyl import from_perm
 from affweyl.affine import AffineElement
 
 CAP = 8
@@ -238,9 +238,7 @@ def test_criterion_10_twisted_newton_transport():
             nu = generic_newton_general(x)
             # and the explicit transported computation once more
             y = x * gamma
-            yp = AffineElement(
-                plain, WeylElement(plain, y.w.perm, y.w.mat), y.mu
-            )
+            yp = AffineElement(plain, from_perm(plain, y.w.perm), y.mu)
             transported = tuple(
                 Fraction(a) - b for a, b in zip(generic_newton(yp), shift)
             )

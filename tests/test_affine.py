@@ -112,6 +112,12 @@ class TestBruhatOrder:
         with pytest.raises(af.BudgetExceeded, match="budget"):
             af.lower_interval(x, max_size=3)
 
+    def test_budget_counts_the_identity_closure(self, gl2):
+        # a length-zero element applies no letter; its interval of one
+        # element is still over a budget of zero
+        with pytest.raises(af.BudgetExceeded, match="budget 0"):
+            af.lower_interval(af.affine_identity(gl2), max_size=0)
+
     def test_kottwitz_class_constant_on_interval(self, gl3):
         x = af.from_parts(from_word(gl3, (1, 0)), (1, 0, 0))
         cc = x.coroot_class_coords()

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -84,6 +87,18 @@ class TestParseElement:
         for expr in ["", "s3", "t[1] s9", "w: s1 ; mu: 1,2", "q: 1"]:
             with pytest.raises(CliError):
                 parse_element(gl3, expr)
+
+    @pytest.mark.parametrize(
+        "expr,key",
+        [("mu: 1,2,3 ; mu: 0,0,0", "mu"), ("w: s1 ; mu: 0,0,0 ; w: s2", "w")],
+        ids=["mu", "w"],
+    )
+    def test_repeated_key_is_refused(self, capsys, gl3_config, expr, key):
+        code, out, err = run(
+            capsys, "element", "--config", gl3_config, "--expr", expr, "lp"
+        )
+        assert code == 2 and out == ""
+        assert f"repeated key {key!r}" in err
 
 
 class TestQStr:
@@ -177,6 +192,18 @@ class TestDescribe:
         assert code == 0
         assert "type: A2" in out
         assert "Weyl group order: 6" in out
+
+    def test_python_dash_m(self, capsys, gl3_config):
+        import affweyl
+
+        src = os.path.dirname(os.path.dirname(affweyl.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "affweyl", "describe", "--config", gl3_config],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == run(capsys, "describe", "--config", gl3_config)[1]
 
     def test_json(self, capsys, gl3_config):
         code, out, _ = run(capsys, "describe", "--config", gl3_config, "--json")

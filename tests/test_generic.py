@@ -30,7 +30,7 @@ from affweyl.generic import (
 from affweyl.qbg import QBGraph
 from affweyl.rootdata import datum
 from affweyl.verify import cross_check
-from affweyl.weyl import WeylElement, from_word, simple_reflection, weyl_group
+from affweyl.weyl import from_perm, from_word, simple_reflection, weyl_group
 from affweyl.affine import AffineElement
 
 
@@ -173,7 +173,7 @@ class TestTwistedForms:
 
         plain = plain_datum(pgl2t)
         y = x * twist_gamma(pgl2t)
-        yp = AffineElement(plain, WeylElement(plain, y.w.perm, y.w.mat), y.mu)
+        yp = AffineElement(plain, from_perm(plain, y.w.perm), y.mu)
         shift = pgl2t.avg_J(pgl2t.omega_twist[1], range(pgl2t.ss_rank))
         transported = tuple(
             Fraction(a) - b for a, b in zip(generic_newton(yp), shift)

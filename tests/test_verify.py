@@ -28,6 +28,12 @@ class TestOracleBudget:
         assert rep.checked + rep.budget_skips == len(xs)
         assert len(generics) == len(xs)
 
+    def test_zero_budget_skips_every_element(self):
+        gl3 = datum("A", 2, "gl")
+        xs = verify.scan_elements(gl3, 2)
+        rep, _ = verify.check_oracle_equivalence(gl3, xs, interval_budget=0)
+        assert (rep.checked, rep.budget_skips) == (0, len(xs)) == (0, 30)
+
     def test_plain_value_error_is_a_failure(self, gl2, monkeypatch):
         def oracle(*args):
             raise ValueError("over budget")

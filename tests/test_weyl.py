@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+from functools import reduce
+
 import pytest
 
+from affweyl.linalg import identity_mat, mat_inverse, mat_mul, mat_vec
 from affweyl.rootdata import datum
 from affweyl.weyl import (
     bruhat_leq,
     dominant_representative,
+    from_perm,
     from_word,
     identity,
     longest_element,
@@ -146,3 +152,121 @@ def test_cross_datum_operations_rejected():
     d2 = datum("A", 2, "adjoint")
     with pytest.raises(ValueError):
         simple_reflection(d1, 0) * simple_reflection(d2, 0)
+
+
+# ----------------------------------------------------------------------
+# the per-datum table against the matrix routes it replaced
+# ----------------------------------------------------------------------
+
+TABLE_DATA = {
+    "GL3": lambda: datum("A", 2, "gl"),
+    "C2": lambda: datum("C", 2),
+    "G2": lambda: datum("G", 2),
+    "A2-flip": lambda: datum("A", 2, "adjoint", perm=(2, 1)),
+    "A2-twist": lambda: datum(
+        "A", 2, "adjoint", twist={"sigma1_word": [1, 2], "mu_sigma": [1, 0]}
+    ),
+    "B3": lambda: datum("B", 3),
+    "D4": lambda: datum("D", 4),
+    "F4": lambda: datum("F", 4),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TABLE_DATA))
+def table_datum(request):
+    return TABLE_DATA[request.param]()
+
+
+def _int_mat(m):
+    return tuple(tuple(int(x) for x in row) for row in m)
+
+
+def _greedy_word(d, mat):
+    """The lexicographically smallest reduced word, by repeatedly stripping
+    the smallest left descent i (w^{-1} alpha_i^vee negative), found by
+    inverting the matrix."""
+    by_covec = {r.covec: r.index for r in d.roots}
+    word = []
+    while True:
+        inv = mat_inverse(mat)
+        i = next(
+            (
+                i
+                for i in range(d.ss_rank)
+                if by_covec[
+                    tuple(mat_vec(inv, d.roots[d.simple_idx[i]].covec))
+                ] >= d.n_pos
+            ),
+            None,
+        )
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        mat = mat_mul(d._simple_mat(i), mat)
+
+
+def test_table_inverse_matches_mat_inverse(table_datum):
+    for w in weyl_group(table_datum):
+        assert w.inverse().mat == _int_mat(mat_inverse(w.mat))
+        assert w.inverse().inverse() is w
+
+
+def test_table_matrix_is_product_along_word(table_datum):
+    d = table_datum
+    one = identity_mat(d.rank)
+    for w in weyl_group(d):
+        assert w.mat == reduce(mat_mul, (d._simple_mat(i) for i in w.word), one)
+        assert len(w.word) == w.length
+
+
+def test_table_word_is_greedy_left_descent_word(table_datum):
+    d = table_datum
+    ws = weyl_group(d)
+    sample = ws if len(ws) <= 200 else random.Random(3).sample(ws, 120)
+    for w in sample:
+        assert w.word == _greedy_word(d, w.mat)
+
+
+def test_table_products_and_interning(table_datum):
+    d = table_datum
+    ws = weyl_group(d)
+    assert [w.index for w in ws] == list(range(len(ws)))
+    assert identity(d) is ws[0]
+    rng = random.Random(7)
+    for _ in range(300):
+        u, v = rng.choice(ws), rng.choice(ws)
+        uv = u * v
+        assert uv.mat == mat_mul(u.mat, v.mat)
+        assert uv is ws[uv.index]
+        assert uv is from_perm(d, tuple(u.perm[p] for p in v.perm))
+    for w in ws[: 1 + d.ss_rank]:
+        assert from_word(d, w.word) is w
+    for i in range(d.ss_rank):
+        assert simple_reflection(d, i) is ws[1 + i]
+    for a in range(d.n_pos):
+        t = reflection(d, a)
+        assert t is reflection(d, d.neg_root(a)) and (t * t) is ws[0]
+
+
+def test_table_twist_matches_conjugation(table_datum):
+    d = table_datum
+    sigma_inv = _int_mat(mat_inverse(d.sigma_mat))
+    for w in weyl_group(d)[:60]:
+        tw = w.twist()
+        assert tw.mat == mat_mul(d.sigma_mat, mat_mul(w.mat, sigma_inv))
+        assert tw is weyl_group(d)[tw.index]
+        assert w.twist(d.sigma_order) is w
+
+
+def test_from_perm_rejects_non_elements():
+    d = datum("A", 2)
+    bad = list(range(len(d.roots)))
+    bad[0], bad[1] = bad[1], bad[0]
+    with pytest.raises(ValueError, match="not the root permutation"):
+        from_perm(d, bad)
+
+
+def test_weyl_cap_still_applies():
+    capped = dataclasses.replace(datum("A", 3), weyl_cap=10, _caches={})
+    with pytest.raises(ValueError, match="larger than the configured cap 10"):
+        weyl_group(capped)
